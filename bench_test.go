@@ -5,16 +5,18 @@
 //   - BenchmarkFig3_Creation / BenchmarkFig3_Query: the comparison table
 //     of serial SP-maintenance algorithms (space per node, time per
 //     thread creation, time per query) for English-Hebrew, offset-span,
-//     SP-bags, and SP-order.
+//     SP-bags, and SP-order, each replayed through an sp.Monitor on its
+//     registry backend.
 //   - BenchmarkTheorem5_Construction: SP-order total construction time
 //     versus n (the O(n) claim).
 //   - BenchmarkCorollary6_RaceDetector: on-the-fly determinacy-race
 //     detection cost versus T1 across all four backends (the O(T1)
 //     claim for SP-order).
 //   - BenchmarkTheorem10_SPHybrid / BenchmarkTheorem10_NaiveLocked: the
-//     parallel algorithm versus the Section 3 strawman across worker
-//     counts, with steals, splits, query retries, and lock acquisitions
-//     reported as metrics.
+//     parallel algorithm versus the Section 3 strawman (sp-order under
+//     sp.ReplayParallel, every event under the monitor's one mutex)
+//     across worker counts, with steals, splits, query retries, and lock
+//     acquisitions reported as metrics.
 //   - BenchmarkSection4_LockFreeQueries: global-tier query throughput
 //     while an inserter forces rebalances (retries/op = bucket B5).
 //   - BenchmarkSection7_Steals: steal counts versus P·T∞ across shapes.
@@ -33,10 +35,21 @@ import (
 
 	"repro"
 	"repro/internal/om"
-	"repro/internal/race"
 	"repro/internal/spt"
 	"repro/internal/workload"
+	"repro/sp"
+	"repro/sp/metrics"
 )
+
+// fig3Backends are Figure 3's four rows as registry backends.
+var fig3Backends = []string{"english-hebrew", "offset-span", "sp-bags", "sp-order"}
+
+// maintain replays tr serially through a fresh monitor on backend with
+// race detection off, so only SP maintenance runs.
+func maintain(tr *spt.Tree, backend string, opts ...sp.Option) (*sp.Monitor, sp.ReplayIDs) {
+	m := sp.MustMonitor(append(opts, sp.WithBackend(backend), sp.WithRaceDetection(false))...)
+	return m, sp.Replay(tr, m)
+}
 
 // fig3Tree returns the workload for the Figure 3 comparison: a random
 // program with substantial fork nesting so the static labelers' weakness
@@ -49,104 +62,59 @@ func fig3Tree(threads int) *spt.Tree {
 
 func BenchmarkFig3_Creation(b *testing.B) {
 	tr := fig3Tree(20000)
-	canon, _ := repro.Canonicalize(tr)
-	perThread := func(b *testing.B, total float64) {
-		b.ReportMetric(total/float64(tr.NumThreads()), "ns/thread")
+	for _, backend := range fig3Backends {
+		b.Run(backend, func(b *testing.B) {
+			reg := metrics.NewRegistry()
+			for i := 0; i < b.N; i++ {
+				maintain(tr, backend, sp.WithMetrics(reg))
+			}
+			// The labelers report their longest label; SP-bags keeps one
+			// DSU node (parent+rank) and SP-order two OM items
+			// (label+bucket) per thread.
+			words := map[string]float64{"sp-bags": 2, "sp-order": 4}[backend]
+			if w, ok := reg.Snapshot().Value("sp_label_words_highwater"); ok {
+				words = w
+			}
+			b.ReportMetric(words, "max-label-words")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.NumThreads()), "ns/thread")
+		})
 	}
-	b.Run("EnglishHebrew", func(b *testing.B) {
-		var words int
-		for i := 0; i < b.N; i++ {
-			eh := repro.LabelEnglishHebrew(tr)
-			words = eh.MaxLabelWords()
-		}
-		b.ReportMetric(float64(words), "max-label-words")
-		perThread(b, float64(b.Elapsed().Nanoseconds())/float64(b.N))
-	})
-	b.Run("OffsetSpan", func(b *testing.B) {
-		var words int
-		for i := 0; i < b.N; i++ {
-			os := repro.LabelOffsetSpan(tr)
-			words = os.MaxLabelWords()
-		}
-		b.ReportMetric(float64(words), "max-label-words")
-		perThread(b, float64(b.Elapsed().Nanoseconds())/float64(b.N))
-	})
-	b.Run("SPBags", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bags := repro.NewSPBags(canon)
-			bags.Run(nil)
-		}
-		b.ReportMetric(2, "max-label-words") // one DSU node: parent+rank
-		perThread(b, float64(b.Elapsed().Nanoseconds())/float64(b.N))
-	})
-	b.Run("SPOrder", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sp := repro.NewSPOrder(tr)
-			sp.Run(nil)
-		}
-		b.ReportMetric(4, "max-label-words") // two OM items: label+bucket
-		perThread(b, float64(b.Elapsed().Nanoseconds())/float64(b.N))
-	})
 }
 
 func BenchmarkFig3_Query(b *testing.B) {
 	// A wide fan maximizes nesting depth d (and forks f along a path),
 	// the worst case for the static labelers and the fairest
-	// demonstration of SP-order's O(1).
-	tr := repro.WideFan(8192, 1)
-	canon, _ := repro.Canonicalize(tr)
-	threads := tr.Threads()
+	// demonstration of SP-order's O(1). SP-bags answers queries against
+	// the current thread only: the trailing thread end.
+	leaves := make([]*spt.Node, 8192)
+	for i := range leaves {
+		leaves[i] = repro.NewLeaf(fmt.Sprintf("u%d", i), 1)
+	}
+	end := repro.NewLeaf("end", 1)
+	tr := repro.MustTree(repro.NewS(repro.Par(leaves...), end))
 	rng := repro.NewRand(2)
 	pairs := make([][2]*spt.Node, 4096)
 	for i := range pairs {
-		pairs[i] = [2]*spt.Node{
-			threads[rng.Intn(len(threads))],
-			threads[rng.Intn(len(threads))],
-		}
+		pairs[i] = [2]*spt.Node{leaves[rng.Intn(len(leaves))], leaves[rng.Intn(len(leaves))]}
 	}
 	var sink atomic.Int64
-	b.Run("EnglishHebrew", func(b *testing.B) {
-		eh := repro.LabelEnglishHebrew(tr)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			if eh.Precedes(p[0], p[1]) {
-				sink.Add(1)
+	for _, backend := range fig3Backends {
+		b.Run(backend, func(b *testing.B) {
+			m, ids := maintain(tr, backend)
+			full := m.Backend().FullQueries
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				u, v := ids.Leaf(p[0]), ids.Leaf(end)
+				if full {
+					v = ids.Leaf(p[1])
+				}
+				if m.Precedes(u, v) {
+					sink.Add(1)
+				}
 			}
-		}
-	})
-	b.Run("OffsetSpan", func(b *testing.B) {
-		os := repro.LabelOffsetSpan(tr)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			if os.Precedes(p[0], p[1]) {
-				sink.Add(1)
-			}
-		}
-	})
-	b.Run("SPBags", func(b *testing.B) {
-		bags := repro.NewSPBags(canon)
-		bags.Run(nil)
-		canonThreads := canon.Threads()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if bags.PrecedesCurrent(canonThreads[i%len(canonThreads)]) {
-				sink.Add(1)
-			}
-		}
-	})
-	b.Run("SPOrder", func(b *testing.B) {
-		sp := repro.NewSPOrder(tr)
-		sp.Run(nil)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			if sp.Precedes(p[0], p[1]) {
-				sink.Add(1)
-			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkTheorem5_Construction(b *testing.B) {
@@ -154,13 +122,15 @@ func BenchmarkTheorem5_Construction(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			cfg := repro.DefaultGenConfig(n)
 			tr := repro.Generate(cfg, repro.NewRand(int64(n)))
+			reg := metrics.NewRegistry()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sp := repro.NewSPOrder(tr)
-				sp.Run(nil)
+				maintain(tr, "sp-order", sp.WithMetrics(reg))
 			}
 			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(nsPerOp/float64(n), "ns/thread")
+			relabels := reg.Snapshot().Sum("sp_om_relabels_total")
+			b.ReportMetric(relabels/float64(b.N)/float64(n), "relabels/thread")
 		})
 	}
 }
@@ -171,13 +141,12 @@ func BenchmarkCorollary6_RaceDetector(b *testing.B) {
 	for _, n := range []int{12, 16, 20} {
 		tr := workload.ReadOnlyAccesses(repro.FibTree(n, 1), 8, 256, repro.NewRand(3))
 		t1 := tr.Work()
-		for _, backend := range []repro.Backend{
-			repro.BackendSPOrder, repro.BackendSPBags,
-			repro.BackendEnglishHebrew, repro.BackendOffsetSpan,
-		} {
+		for _, backend := range fig3Backends {
 			b.Run(fmt.Sprintf("%v/fib=%d", backend, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					repro.DetectSerial(tr, backend)
+					m := sp.MustMonitor(sp.WithBackend(backend))
+					sp.Replay(tr, m)
+					m.Report()
 				}
 				nsPerRun := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 				b.ReportMetric(nsPerRun/float64(t1), "ns/T1-unit")
@@ -210,12 +179,16 @@ func BenchmarkTheorem10_NaiveLocked(b *testing.B) {
 	canon, _ := repro.Canonicalize(tr)
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			var locks int64
+			reg := metrics.NewRegistry()
 			for i := 0; i < b.N; i++ {
-				rep := race.DetectParallelNaive(canon, p, int64(i), true)
-				locks += rep.LockAcquisitions
+				m := sp.MustMonitor(sp.WithBackend("sp-order"), sp.WithMetrics(reg))
+				sp.ReplayParallel(canon, m, p)
+				m.Report()
 			}
-			b.ReportMetric(float64(locks)/float64(b.N), "lock-acquisitions/run")
+			// sp-order is unsynchronized: the monitor takes its one
+			// mutex for every event.
+			locks := reg.Snapshot().Sum("sp_monitor_events_total")
+			b.ReportMetric(locks/float64(b.N), "lock-acquisitions/run")
 		})
 	}
 }
@@ -326,8 +299,7 @@ func BenchmarkSPBagsOps(b *testing.B) {
 	tr := repro.FibTree(18, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bags := repro.NewSPBags(tr)
-		bags.Run(nil)
+		maintain(tr, "sp-bags")
 	}
 	nsPerRun := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(nsPerRun/float64(tr.NumThreads()), "ns/thread")
@@ -341,18 +313,13 @@ func yieldExec(w int, u *spt.Node) { yieldNow() }
 // the same construction workload.
 func BenchmarkAblation_ImplicitEnglish(b *testing.B) {
 	tr := fig3Tree(20000)
-	b.Run("TwoLists", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sp := repro.NewSPOrder(tr)
-			sp.Run(nil)
-		}
-	})
-	b.Run("ImplicitEnglish", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sp := repro.NewSPOrderImplicit(tr)
-			sp.Run(nil)
-		}
-	})
+	for name, backend := range map[string]string{"TwoLists": "sp-order", "ImplicitEnglish": "sp-order-implicit"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				maintain(tr, backend)
+			}
+		})
+	}
 }
 
 // BenchmarkAblation_CASLocalTier compares SP-hybrid's analyzed rank-only

@@ -2,7 +2,8 @@
 // generated fork-join workload and reports what it finds, exercising
 // every SP-maintenance backend registered in the repro/sp registry
 // through the event API, plus the scheduler-coupled parallel SP-hybrid
-// detector and the lock-aware ALL-SETS detector.
+// detector. -workload locks compares determinacy detection with the
+// lock-aware ALL-SETS protocol on the selected backends.
 //
 // Usage:
 //
@@ -12,7 +13,8 @@
 //
 // -backend selects one registered backend by name; "all" runs every
 // registered backend; "?" (or "list") prints the registry with each
-// backend's capabilities and asymptotic bounds and exits. -trace
+// backend's capabilities and asymptotic bounds and exits; an unknown
+// name exits with status 2 before any workload runs. -trace
 // additionally records the workload's serial event stream as a binary
 // trace (replayable with `sptrace replay`).
 package main
@@ -25,7 +27,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/race"
 	"repro/internal/workload"
 	"repro/sp"
 )
@@ -44,11 +45,20 @@ func main() {
 		printBackends()
 		return
 	}
+	names := sp.BackendNames()
+	if *backend != "all" {
+		if _, ok := sp.Lookup(*backend); !ok {
+			fmt.Fprintf(os.Stderr, "unknown backend %q (available: %v, or '?' to list)\n",
+				*backend, names)
+			os.Exit(2)
+		}
+		names = []string{*backend}
+	}
 
 	rng := repro.NewRand(*seed)
 	switch *workloadName {
 	case "locks":
-		runLocks()
+		runLocks(names)
 		return
 	case "planted":
 		cfg := repro.DefaultPlantConfig()
@@ -56,19 +66,19 @@ func main() {
 		p := repro.PlantRaces(cfg, rng)
 		fmt.Printf("Planted workload: %d threads, %d racy locations %v, %d safe locations\n\n",
 			p.Tree.NumThreads(), len(p.RacyLocs), p.RacyLocs, len(p.SafeLocs))
-		runAll(p.Tree, *backend, *workers, *seed)
+		runAll(p.Tree, names, *workers, *seed)
 	case "vector":
 		tr := repro.VectorAccumulate(*threads, false)
 		fmt.Printf("Vector-accumulate (correct): %d workers + reduction\n\n", *threads)
-		runAll(tr, *backend, *workers, *seed)
+		runAll(tr, names, *workers, *seed)
 	case "vector-buggy":
 		tr := repro.VectorAccumulate(*threads, true)
 		fmt.Printf("Vector-accumulate (buggy: reduction parallel to loop): %d workers\n\n", *threads)
-		runAll(tr, *backend, *workers, *seed)
+		runAll(tr, names, *workers, *seed)
 	case "fib":
 		tr := repro.FibWithAccesses(16, 6, 128, true, rng)
 		fmt.Printf("fib(16) with shared accesses: %d threads, T1=%d\n\n", tr.NumThreads(), tr.Work())
-		runAll(tr, *backend, *workers, *seed)
+		runAll(tr, names, *workers, *seed)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workloadName)
 		os.Exit(2)
@@ -112,7 +122,14 @@ func recordTrace(tr *repro.Tree, path string) error {
 	return f.Close()
 }
 
-func runAll(tr *repro.Tree, backend string, workers int, seed int64) {
+// detect replays tr serially through a fresh monitor on backend.
+func detect(tr *repro.Tree, backend string, opts ...sp.Option) sp.Report {
+	m := sp.MustMonitor(append(opts, sp.WithBackend(backend))...)
+	sp.Replay(tr, m)
+	return m.Report()
+}
+
+func runAll(tr *repro.Tree, names []string, workers int, seed int64) {
 	if traceOut != "" {
 		if err := recordTrace(tr, traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "recording trace: %v\n", err)
@@ -121,22 +138,10 @@ func runAll(tr *repro.Tree, backend string, workers int, seed int64) {
 		fmt.Printf("recorded serial event stream to %s (replay with: sptrace replay -backend all %s)\n\n",
 			traceOut, traceOut)
 	}
-	var names []string
-	for _, info := range sp.Backends() {
-		names = append(names, info.Name)
-	}
-	if backend != "all" {
-		if _, ok := sp.Lookup(backend); !ok {
-			fmt.Fprintf(os.Stderr, "unknown backend %q (available: %v, or '?' to list)\n",
-				backend, names)
-			os.Exit(2)
-		}
-		names = []string{backend}
-	}
 	fmt.Printf("%-20s %10s %10s %10s  %s\n", "backend", "races", "locations", "time", "raced locations")
 	for _, name := range names {
 		start := time.Now()
-		rep := race.DetectSerialBackend(tr, name)
+		rep := detect(tr, name)
 		el := time.Since(start)
 		fmt.Printf("%-20s %10d %10d %10v  %v\n",
 			name, len(rep.Races), len(rep.Locations), el.Round(time.Microsecond), summarize(rep.Locations))
@@ -166,7 +171,7 @@ func runAll(tr *repro.Tree, backend string, workers int, seed int64) {
 	}
 }
 
-func runLocks() {
+func runLocks(names []string) {
 	tr, protected, unprotected := repro.LockProtected(6, repro.NewRand(2))
 	fmt.Println("Lock workload: 6 writers sharing one mutex-protected cell,")
 	fmt.Println("plus two unlocked parallel writers on a second cell.")
@@ -177,18 +182,25 @@ func runLocks() {
 		}
 		fmt.Printf("recorded serial event stream to %s\n", traceOut)
 	}
-	det := repro.DetectSerial(tr, repro.BackendSPOrder)
-	fmt.Printf("\nDeterminacy detector flags locations %v (locks invisible to it)\n", det.Locations)
-	lrep := repro.DetectLockAware(tr)
-	fmt.Printf("Lock-aware (ALL-SETS) flags locations  %v (only the unlocked cell x%d)\n",
-		lrep.Locations, unprotected)
-	for _, r := range lrep.Races {
+	fmt.Printf("\nlocked cell x%d, unlocked cell x%d; the determinacy detector cannot see locks,\n", protected, unprotected)
+	fmt.Println("the lock-aware (ALL-SETS) detector flags only the unlocked cell")
+	fmt.Printf("%-20s %-12s %s\n", "backend", "determinacy", "lock-aware")
+	var first sp.Report
+	for i, name := range names {
+		det := detect(tr, name)
+		lrep := detect(tr, name, sp.WithLockAwareness(true))
+		fmt.Printf("%-20s %-12s %v\n", name, fmt.Sprint(det.Locations), lrep.Locations)
+		if i == 0 {
+			first = lrep
+		}
+	}
+	fmt.Printf("\nlock-aware races (%s):\n", names[0])
+	for _, r := range first.Races {
 		fmt.Println(" ", r)
 	}
-	_ = protected
 }
 
-func summarize(locs []int) string {
+func summarize[T any](locs []T) string {
 	if len(locs) <= 10 {
 		return fmt.Sprint(locs)
 	}

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/race"
 	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/sp"
@@ -89,6 +88,10 @@ var (
 func main() {
 	table := flag.String("table", "all", "which experiment: fig3|t5|c6|t10|s7|trace|concurrent|ingest|all")
 	flag.Parse()
+	if _, ok := sp.Lookup(*backendFlag); !ok && *backendFlag != "all" {
+		fmt.Fprintf(os.Stderr, "unknown backend %q (available: %v)\n", *backendFlag, sp.BackendNames())
+		os.Exit(2)
+	}
 
 	if *jsonFlag {
 		switch *table {
@@ -130,8 +133,25 @@ func main() {
 		concurrentBench(false)
 		ingestBench(false)
 	default:
-		fmt.Println("unknown table:", *table)
+		fmt.Fprintln(os.Stderr, "unknown table:", *table)
+		os.Exit(2)
 	}
+}
+
+// selectedBackends is every registered backend, or the one -backend
+// names.
+func selectedBackends() []string {
+	if *backendFlag == "all" {
+		return sp.BackendNames()
+	}
+	return []string{*backendFlag}
+}
+
+// maintain replays tr serially through a fresh monitor on backend with
+// race detection off, so only SP maintenance runs.
+func maintain(tr *repro.Tree, backend string, opts ...sp.Option) (*sp.Monitor, sp.ReplayIDs) {
+	m := sp.MustMonitor(append(opts, sp.WithBackend(backend), sp.WithRaceDetection(false))...)
+	return m, sp.Replay(tr, m)
 }
 
 // timeIt runs f repeatedly and returns the best wall time. A GC cycle
@@ -156,6 +176,20 @@ func reps() int {
 	return 3
 }
 
+// fig3Rows are Figure 3's algorithms and the registry backends that
+// implement them. words is the constant label size of the two
+// algorithms whose labels do not grow; the labelers report theirs
+// through the sp_label_words_highwater gauge.
+var fig3Rows = []struct {
+	name, backend string
+	words         float64
+}{
+	{"English-Hebrew", "english-hebrew", 0},
+	{"Offset-Span", "offset-span", 0},
+	{"SP-Bags", "sp-bags", 2},   // one DSU node: parent+rank
+	{"SP-Order", "sp-order", 4}, // two OM items: label+bucket
+}
+
 // fig3 reproduces the comparison table of Figure 3: space per node, time
 // per thread creation, time per query, for all four serial algorithms.
 func fig3() {
@@ -168,81 +202,38 @@ func fig3() {
 	cfg := repro.DefaultGenConfig(n)
 	cfg.PProb = 0.7
 	tr := repro.Generate(cfg, repro.NewRand(1))
-	canon, _ := repro.Canonicalize(tr)
-	deep := repro.WideFan(n/2, 1) // maximal nesting: worst case for labels
-	deepCanon, _ := repro.Canonicalize(deep)
-	threads := deep.Threads()
+	// A wide fan maximizes nesting, the labelers' worst case. SP-bags
+	// answers queries against the current thread only: the trailing
+	// thread end.
+	leaves := make([]*repro.Node, n/2)
+	for i := range leaves {
+		leaves[i] = repro.NewLeaf(fmt.Sprintf("u%d", i), 1)
+	}
+	end := repro.NewLeaf("end", 1)
+	deep := repro.MustTree(repro.NewS(repro.Par(leaves...), end))
 	rng := repro.NewRand(2)
 
-	type row struct {
-		name            string
-		spaceWords      float64
-		creationNsPerTh float64
-		queryNs         float64
-	}
-	var rows []row
-
-	// English-Hebrew.
-	{
-		el := timeIt(reps(), func() { repro.LabelEnglishHebrew(tr) })
-		eh := repro.LabelEnglishHebrew(deep)
-		q := timeIt(reps(), func() {
-			for i := 0; i < qn; i++ {
-				eh.Precedes(threads[rng.Intn(len(threads))], threads[rng.Intn(len(threads))])
-			}
-		})
-		rows = append(rows, row{"English-Hebrew", float64(eh.MaxLabelWords()),
-			float64(el.Nanoseconds()) / float64(n), float64(q.Nanoseconds()) / float64(qn)})
-	}
-	// Offset-span.
-	{
-		el := timeIt(reps(), func() { repro.LabelOffsetSpan(tr) })
-		osl := repro.LabelOffsetSpan(deep)
-		q := timeIt(reps(), func() {
-			for i := 0; i < qn; i++ {
-				osl.Precedes(threads[rng.Intn(len(threads))], threads[rng.Intn(len(threads))])
-			}
-		})
-		rows = append(rows, row{"Offset-Span", float64(osl.MaxLabelWords()),
-			float64(el.Nanoseconds()) / float64(n), float64(q.Nanoseconds()) / float64(qn)})
-	}
-	// SP-bags.
-	{
-		el := timeIt(reps(), func() {
-			b := repro.NewSPBags(canon)
-			b.Run(nil)
-		})
-		b := repro.NewSPBags(deepCanon)
-		b.Run(nil)
-		dthreads := deepCanon.Threads()
-		q := timeIt(reps(), func() {
-			for i := 0; i < qn; i++ {
-				b.PrecedesCurrent(dthreads[rng.Intn(len(dthreads))])
-			}
-		})
-		rows = append(rows, row{"SP-Bags", 2,
-			float64(el.Nanoseconds()) / float64(n), float64(q.Nanoseconds()) / float64(qn)})
-	}
-	// SP-order.
-	{
-		el := timeIt(reps(), func() {
-			sp := repro.NewSPOrder(tr)
-			sp.Run(nil)
-		})
-		sp := repro.NewSPOrder(deep)
-		sp.Run(nil)
-		q := timeIt(reps(), func() {
-			for i := 0; i < qn; i++ {
-				sp.Precedes(threads[rng.Intn(len(threads))], threads[rng.Intn(len(threads))])
-			}
-		})
-		rows = append(rows, row{"SP-Order", 4,
-			float64(el.Nanoseconds()) / float64(n), float64(q.Nanoseconds()) / float64(qn)})
-	}
-
 	fmt.Printf("%-16s %18s %18s %14s\n", "algorithm", "space (words/node)", "creation (ns/thr)", "query (ns)")
-	for _, r := range rows {
-		fmt.Printf("%-16s %18.0f %18.1f %14.1f\n", r.name, r.spaceWords, r.creationNsPerTh, r.queryNs)
+	for _, r := range fig3Rows {
+		el := timeIt(reps(), func() { maintain(tr, r.backend) })
+		reg := metrics.NewRegistry()
+		m, ids := maintain(deep, r.backend, sp.WithMetrics(reg))
+		words := r.words
+		if w, ok := reg.Snapshot().Value("sp_label_words_highwater"); ok {
+			words = w
+		}
+		full := m.Backend().FullQueries
+		q := timeIt(reps(), func() {
+			for i := 0; i < qn; i++ {
+				a, b := ids.Leaf(leaves[rng.Intn(len(leaves))]), ids.Leaf(end)
+				if full {
+					b = ids.Leaf(leaves[rng.Intn(len(leaves))])
+				}
+				m.Relation(a, b)
+			}
+		})
+		fmt.Printf("%-16s %18.0f %18.1f %14.1f\n", r.name, words,
+			float64(el.Nanoseconds())/float64(n), float64(q.Nanoseconds())/float64(qn))
 	}
 	fmt.Printf("(paper: EH space Θ(f), OS space Θ(d), SP-bags/SP-order Θ(1); queries Θ(f)/Θ(d)/Θ(α)/Θ(1))\n\n")
 }
@@ -258,16 +249,14 @@ func theorem5() {
 	fmt.Printf("%12s %14s %14s %16s\n", "n (threads)", "total", "ns/thread", "relabels/thread")
 	for _, n := range ns {
 		tr := repro.Generate(repro.DefaultGenConfig(n), repro.NewRand(int64(n)))
-		var relabels int64
-		el := timeIt(reps(), func() {
-			sp := repro.NewSPOrder(tr)
-			sp.Run(nil)
-			_, relabels, _ = sp.Stats()
-		})
+		reg := metrics.NewRegistry()
+		maintain(tr, "sp-order", sp.WithMetrics(reg))
+		relabels := reg.Snapshot().Sum("sp_om_relabels_total")
+		el := timeIt(reps(), func() { maintain(tr, "sp-order") })
 		xs = append(xs, float64(n))
 		ys = append(ys, float64(el.Nanoseconds()))
 		fmt.Printf("%12d %14v %14.1f %16.2f\n", n, el.Round(time.Microsecond),
-			float64(el.Nanoseconds())/float64(n), float64(relabels)/float64(n))
+			float64(el.Nanoseconds())/float64(n), relabels/float64(n))
 	}
 	k := stats.GrowthExponent(xs, ys)
 	fmt.Printf("growth exponent (1.0 = linear): %.3f   ratio spread: %.2f\n\n",
@@ -283,16 +272,7 @@ func corollary6() {
 	if *quick {
 		fibs = []int{10, 13, 16}
 	}
-	var backends []string
-	if *backendFlag == "all" {
-		backends = sp.BackendNames()
-	} else {
-		if _, ok := sp.Lookup(*backendFlag); !ok {
-			fmt.Printf("unknown backend %q (available: %v)\n\n", *backendFlag, sp.BackendNames())
-			return
-		}
-		backends = []string{*backendFlag}
-	}
+	backends := selectedBackends()
 	fmt.Printf("%8s %12s", "fib", "T1")
 	for _, b := range backends {
 		fmt.Printf(" %18s", b)
@@ -309,7 +289,11 @@ func corollary6() {
 		t1s = append(t1s, t1)
 		fmt.Printf("%8d %12.0f", n, t1)
 		for _, b := range backends {
-			el := timeIt(reps(), func() { race.DetectSerialBackend(tr, b) })
+			el := timeIt(reps(), func() {
+				m := sp.MustMonitor(sp.WithBackend(b))
+				sp.Replay(tr, m)
+				m.Report()
+			})
 			perBackend[b] = append(perBackend[b], float64(el.Nanoseconds()))
 			fmt.Printf(" %18v", el.Round(time.Microsecond))
 		}
@@ -323,7 +307,10 @@ func corollary6() {
 }
 
 // theorem10 compares SP-hybrid against the naive locked parallelization
-// across worker counts.
+// of Section 3 across worker counts. The naive baseline is sp-order
+// under ReplayParallel: the monitor applies every event of that
+// unsynchronized backend under its one mutex, so the lock acquisitions
+// are the monitor's event count.
 func theorem10() {
 	fmt.Println("=== Theorem 10: SP-hybrid vs naive locked SP-order ===")
 	fib := 18
@@ -339,11 +326,17 @@ func theorem10() {
 	for _, p := range []int{1, 2, 4, 8} {
 		var hst repro.ParallelRaceReport
 		hel := timeIt(reps(), func() { hst = repro.DetectParallel(canon, p, 1, true) })
-		var nst race.NaiveReport
-		nel := timeIt(reps(), func() { nst = race.DetectParallelNaive(canon, p, 1, true) })
-		fmt.Printf("%4d | %12v %10d %10d %12d | %12v %16d\n",
+		naive := func(opts ...sp.Option) {
+			m := sp.MustMonitor(append(opts, sp.WithBackend("sp-order"))...)
+			sp.ReplayParallel(canon, m, p)
+			m.Report()
+		}
+		nel := timeIt(reps(), func() { naive() })
+		reg := metrics.NewRegistry()
+		naive(sp.WithMetrics(reg))
+		fmt.Printf("%4d | %12v %10d %10d %12d | %12v %16.0f\n",
 			p, hel.Round(time.Microsecond), hst.Stats.Steals, hst.Stats.Splits,
-			hst.Stats.QueryRetries, nel.Round(time.Microsecond), nst.LockAcquisitions)
+			hst.Stats.QueryRetries, nel.Round(time.Microsecond), reg.Snapshot().Sum("sp_monitor_events_total"))
 	}
 	fmt.Println("(hybrid's global-lock traffic is O(steals); naive locks EVERY insert+query: Θ(T1))")
 	fmt.Println()
@@ -416,14 +409,7 @@ func traceBench(jsonOut bool) {
 	if *quick {
 		n = 256
 	}
-	backends := sp.BackendNames()
-	if *backendFlag != "all" {
-		if _, ok := sp.Lookup(*backendFlag); !ok {
-			fmt.Fprintf(os.Stderr, "unknown backend %q (available: %v)\n", *backendFlag, sp.BackendNames())
-			os.Exit(2)
-		}
-		backends = []string{*backendFlag}
-	}
+	backends := selectedBackends()
 	doc := traceBenchDoc{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),

@@ -4,77 +4,22 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/sp"
 )
 
-// ExampleSPOrder demonstrates the paper's Section 2 algorithm on the
-// program  a ; (b ∥ c) ; d.
-func ExampleSPOrder() {
-	a, b := repro.NewLeaf("a", 1), repro.NewLeaf("b", 1)
-	c, d := repro.NewLeaf("c", 1), repro.NewLeaf("d", 1)
-	t := repro.MustTree(repro.Seq(a, repro.NewP(b, c), d))
-
-	sp := repro.NewSPOrder(t)
-	sp.Run(nil) // unfold left to right
-
-	fmt.Println("a ≺ d:", sp.Precedes(a, d))
-	fmt.Println("b ∥ c:", sp.Parallel(b, c))
-	fmt.Println("b ≺ c:", sp.Precedes(b, c))
-	// Output:
-	// a ≺ d: true
-	// b ∥ c: true
-	// b ≺ c: false
-}
-
-// ExampleDetectSerial finds the determinacy race in a program where two
-// parallel threads write the same location.
-func ExampleDetectSerial() {
-	w1 := repro.NewLeaf("w1", 1)
-	w1.Steps = []repro.Step{repro.W(0)}
-	w2 := repro.NewLeaf("w2", 1)
-	w2.Steps = []repro.Step{repro.W(0)}
-	t := repro.MustTree(repro.NewP(w1, w2))
-
-	report := repro.DetectSerial(t, repro.BackendSPOrder)
-	for _, r := range report.Races {
-		fmt.Println(r)
-	}
-	// Output:
-	// write-write race on x0 between w1 and w2
-}
-
 // ExamplePaperExample reproduces the relations the paper quotes for its
-// running example (Figures 1, 2, and 4).
+// running example (Figures 1, 2, and 4), replaying the tree through an
+// SP-order monitor.
 func ExamplePaperExample() {
 	t := repro.PaperExample()
-	sp := repro.NewSPOrder(t)
-	sp.Run(nil)
+	m := sp.MustMonitor(sp.WithBackend("sp-order"))
+	ids := sp.Replay(t, m)
 	u := t.Threads()
-	fmt.Println("u1 ≺ u4:", sp.Precedes(u[1], u[4]))
-	fmt.Println("u1 ∥ u6:", sp.Parallel(u[1], u[6]))
+	fmt.Println("u1 ≺ u4:", m.Precedes(ids.Leaf(u[1]), ids.Leaf(u[4])))
+	fmt.Println("u1 ∥ u6:", m.Parallel(ids.Leaf(u[1]), ids.Leaf(u[6])))
 	// Output:
 	// u1 ≺ u4: true
 	// u1 ∥ u6: true
-}
-
-// ExampleDetectLockAware shows the lock-aware extension: a common mutex
-// suppresses the race, disjoint mutexes do not.
-func ExampleDetectLockAware() {
-	a := repro.NewLeaf("a", 1)
-	a.Steps = []repro.Step{repro.Acq(1), repro.W(0), repro.Rel(1)}
-	b := repro.NewLeaf("b", 1)
-	b.Steps = []repro.Step{repro.Acq(1), repro.W(0), repro.Rel(1)}
-	protected := repro.MustTree(repro.NewP(a, b))
-	fmt.Println("races under a common lock:", len(repro.DetectLockAware(protected).Races))
-
-	c := repro.NewLeaf("c", 1)
-	c.Steps = []repro.Step{repro.Acq(1), repro.W(0), repro.Rel(1)}
-	d := repro.NewLeaf("d", 1)
-	d.Steps = []repro.Step{repro.Acq(2), repro.W(0), repro.Rel(2)}
-	disjoint := repro.MustTree(repro.NewP(c, d))
-	fmt.Println("races under disjoint locks:", len(repro.DetectLockAware(disjoint).Races))
-	// Output:
-	// races under a common lock: 0
-	// races under disjoint locks: 1
 }
 
 // ExampleCanonicalize shows the footnote-6 rewrite that SP-bags and the

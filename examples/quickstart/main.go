@@ -1,5 +1,6 @@
-// Quickstart: build a fork-join program as an SP parse tree, maintain
-// series-parallel relationships on the fly with SP-order, and query them.
+// Quickstart: build a fork-join program as an SP parse tree, replay it
+// through an SP-order monitor that maintains series-parallel
+// relationships on the fly, and query them.
 //
 // Run with:
 //
@@ -10,6 +11,7 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/sp"
 )
 
 func main() {
@@ -35,13 +37,16 @@ func main() {
 		float64(program.Work())/float64(program.Span()))
 
 	// Maintain SP relationships on the fly while the program "executes"
-	// (a serial left-to-right walk, as in a serial race detector), and
+	// (a serial left-to-right replay, as in a serial race detector), and
 	// query inside threads.
-	sp := repro.NewSPOrder(program)
-	sp.Run(func(u *repro.Node) {
+	m := sp.MustMonitor(sp.WithBackend("sp-order"))
+	var loadID sp.ThreadID
+	ids := sp.ReplayObserved(program, m, func(u *repro.Node, id sp.ThreadID) {
 		fmt.Printf("executing %-9s", u.Label)
-		if u != load && sp.Visited(load) {
-			fmt.Printf("  load≺%s=%v", u.Label, sp.Precedes(load, u))
+		if u == load {
+			loadID = id
+		} else {
+			fmt.Printf("  load≺%s=%v", u.Label, m.Precedes(loadID, id))
 		}
 		fmt.Println()
 	})
@@ -55,17 +60,13 @@ func main() {
 		{load, merge},     // ends of the pipeline
 	}
 	for _, p := range pairs {
-		describe(sp, p[0], p[1])
-	}
-}
-
-func describe(sp *repro.SPOrder, u, v *repro.Node) {
-	switch {
-	case sp.Precedes(u, v):
-		fmt.Printf("  %-9s ≺ %s (series)\n", u.Label, v.Label)
-	case sp.Precedes(v, u):
-		fmt.Printf("  %-9s ≻ %s (series, reversed)\n", u.Label, v.Label)
-	case sp.Parallel(u, v):
-		fmt.Printf("  %-9s ∥ %s (logically parallel)\n", u.Label, v.Label)
+		switch m.Relation(ids.Leaf(p[0]), ids.Leaf(p[1])) {
+		case sp.Precedes:
+			fmt.Printf("  %-9s ≺ %s (series)\n", p[0].Label, p[1].Label)
+		case sp.Follows:
+			fmt.Printf("  %-9s ≻ %s (series, reversed)\n", p[0].Label, p[1].Label)
+		case sp.Parallel:
+			fmt.Printf("  %-9s ∥ %s (logically parallel)\n", p[0].Label, p[1].Label)
+		}
 	}
 }

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"repro/sp/metrics"
 )
 
 // bucketCap is the maximum number of items a bottom-level bucket holds
@@ -67,6 +69,11 @@ type List struct {
 	Relabels    int64
 	Splits      int64
 	TopRelabels int64
+
+	// MRelabels optionally mirrors Relabels into an external metrics
+	// registry, one Add per bucket relabel (nil: a no-op), as
+	// Concurrent.MRelabels does for the concurrent list.
+	MRelabels *metrics.Counter
 }
 
 // NewList returns an empty list.
@@ -206,6 +213,7 @@ func (l *List) relabelBucket(b *bucket) {
 		lab += gap
 		l.Relabels++
 	}
+	l.MRelabels.Add(int64(b.n))
 }
 
 // splitBucket splits a full bucket into two halves and inserts the second

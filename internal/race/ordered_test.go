@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/shadow"
 	"repro/internal/spt"
 )
@@ -21,21 +20,34 @@ func maskedReaderTree() (tr *spt.Tree, r1, r2, w *spt.Node) {
 	return spt.MustTree(spt.NewP(r1, spt.NewS(r2, w))), r1, r2, w
 }
 
+// indexRel answers the shadow protocol's queries against thread cur from
+// the tree's English and Hebrew indices (Figure 4): u ≺ cur iff u is
+// before cur in both orders, u ∥ cur iff the orders disagree.
+type indexRel struct {
+	eng, heb []int
+	cur      *spt.Node
+}
+
+func (r indexRel) EnglishBeforeCurrent(u *spt.Node) bool { return r.eng[u.ID] < r.eng[r.cur.ID] }
+func (r indexRel) HebrewBeforeCurrent(u *spt.Node) bool  { return r.heb[u.ID] < r.heb[r.cur.ID] }
+func (r indexRel) PrecedesCurrent(u *spt.Node) bool {
+	return r.EnglishBeforeCurrent(u) && r.HebrewBeforeCurrent(u)
+}
+func (r indexRel) ParallelCurrent(u *spt.Node) bool {
+	return r.EnglishBeforeCurrent(u) != r.HebrewBeforeCurrent(u)
+}
+
 // TestOrderedReplayCatchesMaskedReader mirrors internal/shadow's
-// TestOrderedProtocolCatchesMaskedReader through the real naiveRel order
-// queries (LockedSPOrder.EnglishBefore/HebrewBefore) instead of scripted
-// orders: under the feasible concurrent execution order r2, r1, w the
-// one-reader discipline masks the racy reader r1, while the two-reader
-// protocol the parallel detectors now use retains r1 as the Hebrew-max
-// reader and flags r1 ∥ w. This is the completeness gap the port to
-// shadow.AccessOrdered closes.
+// TestOrderedProtocolCatchesMaskedReader through the tree's real English
+// and Hebrew orders instead of scripted ones: under the feasible
+// concurrent execution order r2, r1, w the one-reader discipline masks
+// the racy reader r1, while the two-reader protocol the parallel
+// detectors use retains r1 as the Hebrew-max reader and flags r1 ∥ w.
+// This is the completeness gap shadow.AccessOrdered closes.
 func TestOrderedReplayCatchesMaskedReader(t *testing.T) {
 	tr, r1, r2, w := maskedReaderTree()
-	l := core.NewLockedSPOrder(tr)
-	for _, u := range []*spt.Node{r1, r2, w} {
-		l.EnsureVisited(u)
-	}
-	rel := func(cur *spt.Node) *naiveRel { return &naiveRel{l: l, cur: cur} }
+	eng, heb := tr.EnglishHebrewIndex()
+	rel := func(cur *spt.Node) indexRel { return indexRel{eng: eng, heb: heb, cur: cur} }
 
 	// One-reader protocol under the adversarial order: misses. This
 	// documents WHY the detectors had to move off shadow.Access.
@@ -62,10 +74,11 @@ func TestOrderedReplayCatchesMaskedReader(t *testing.T) {
 }
 
 // TestParallelDetectorsCompleteOnMaskedReader runs the masked-reader
-// program through both scheduler-coupled detectors across seeds and
-// worker counts: with the two-reader protocol the r1 ∥ w race must be
-// reported under EVERY schedule, including the ones where r2 executes
-// before r1 (which the old one-reader discipline could miss).
+// program through the scheduler-coupled detector and the naive locked
+// baseline across seeds and worker counts: with the two-reader protocol
+// the r1 ∥ w race must be reported under EVERY schedule, including the
+// ones where r2 executes before r1 (which the old one-reader discipline
+// could miss).
 func TestParallelDetectorsCompleteOnMaskedReader(t *testing.T) {
 	tr, _, _, _ := maskedReaderTree()
 	canon, _ := spt.Canonicalize(tr)
@@ -76,9 +89,8 @@ func TestParallelDetectorsCompleteOnMaskedReader(t *testing.T) {
 				t.Fatalf("DetectParallel(workers=%d, seed=%d): raced locations %v, want [0]",
 					workers, seed, got)
 			}
-			nrep := DetectParallelNaive(canon, workers, seed, true)
-			if got := racedLocs(nrep.Races); !reflect.DeepEqual(got, []int{0}) {
-				t.Fatalf("DetectParallelNaive(workers=%d, seed=%d): raced locations %v, want [0]",
+			if got := locations(naive(tr, workers)); !reflect.DeepEqual(got, []int{0}) {
+				t.Fatalf("naive sp-order ReplayParallel(workers=%d, run %d): raced locations %v, want [0]",
 					workers, seed, got)
 			}
 		}

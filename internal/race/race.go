@@ -1,24 +1,18 @@
-// Package race implements on-the-fly determinacy-race detection for
-// fork-join programs — the motivating application of SP-maintenance in
-// Bender et al. (SPAA 2004) and the role of the Nondeterminator race
-// detectors (Feng–Leiserson 1997, Cheng et al. 1998) the paper builds on.
+// Package race holds the two tree-replay detectors that have no event
+// API counterpart in package sp: DetectParallel, the on-the-fly
+// determinacy-race detector of Bender et al. (SPAA 2004) driven by the
+// work-stealing scheduler and the scheduler-coupled SP-hybrid (the
+// source of the paper's steal, split and retry statistics), and
+// FullHistory, the quadratic ground-truth checker every detector is
+// tested against.
 //
 // A determinacy race occurs when two logically parallel threads access
 // the same shared-memory location and at least one access is a write.
-// The serial and lock-aware detectors in this package are thin adapters
-// over the event-driven sp.Monitor: the parse tree's synthetic
-// instruction traces (spt.Step) are replayed through sp.Replay, so the
-// detectors exercise exactly the same event API a live program would,
-// with the backend selected from sp's registry. The shadow-memory
-// protocol itself lives in internal/shadow (the Nondeterminator
-// discipline: last writer plus one reader per location), shared with the
-// parallel detectors that drive the work-stealing scheduler directly.
-//
-// The package provides serial detectors over any registered backend
-// (SP-order, SP-bags, the static English-Hebrew/offset-span labelers,
-// and friends), a parallel detector over the scheduler-coupled
-// SP-hybrid, a lock-aware detector in the style of ALL-SETS, and the
-// quadratic full-history ground-truth checker.
+// DetectParallel applies the Nondeterminator shadow-memory protocol of
+// internal/shadow (last writer plus the English- and Hebrew-maximal
+// readers per location). Serial, lock-aware and locked-baseline
+// detection replay a tree through an sp.Monitor instead: sp.Replay or
+// sp.ReplayParallel with a registry backend.
 package race
 
 import (
@@ -78,4 +72,43 @@ func buildReport(races []Race, accesses, queries int64) Report {
 	}
 	sort.Ints(locs)
 	return Report{Races: races, Locations: locs, Accesses: accesses, Queries: queries}
+}
+
+// FullHistory is the exhaustive ground-truth checker: it records every
+// access to every location and reports a race for each parallel
+// conflicting pair (quadratic; tests only). Ground truth uses the LCA
+// oracle directly, and threads run in the serial left-to-right order.
+func FullHistory(t *spt.Tree) Report {
+	o := spt.NewOracle(t)
+	type access struct {
+		u     *spt.Node
+		write bool
+	}
+	hist := map[int][]access{}
+	var races []Race
+	var accesses int64
+	for _, u := range t.Threads() {
+		for _, st := range u.Steps {
+			if st.Op != spt.Read && st.Op != spt.Write {
+				continue
+			}
+			accesses++
+			w := st.Op == spt.Write
+			for _, a := range hist[st.Loc] {
+				if !(w || a.write) || a.u == u || o.Relate(a.u, u) != spt.Parallel {
+					continue
+				}
+				kind := WriteWrite
+				switch {
+				case a.write && !w:
+					kind = WriteRead
+				case !a.write && w:
+					kind = ReadWrite
+				}
+				races = append(races, Race{Loc: st.Loc, Kind: kind, First: a.u, Second: u})
+			}
+			hist[st.Loc] = append(hist[st.Loc], access{u, w})
+		}
+	}
+	return buildReport(races, accesses, 0)
 }

@@ -8,20 +8,29 @@ import (
 
 	"repro/internal/spt"
 	"repro/internal/workload"
+	"repro/sp"
 )
 
-var allBackends = []Backend{SPOrder, SPBags, EnglishHebrew, OffsetSpan}
+// The serial detection tests replay each tree through an sp.Monitor on
+// every registered backend and hold the result to FullHistory or to the
+// workload's planted ground truth.
+var allBackends = sp.BackendNames()
 
-func TestBackendStrings(t *testing.T) {
-	want := map[Backend]string{
-		SPOrder: "SP-Order", SPBags: "SP-Bags",
-		EnglishHebrew: "English-Hebrew", OffsetSpan: "Offset-Span",
+// detect replays tr serially on the named backend.
+func detect(tr *spt.Tree, backend string, opts ...sp.Option) sp.Report {
+	m := sp.MustMonitor(append([]sp.Option{sp.WithBackend(backend)}, opts...)...)
+	sp.Replay(tr, m)
+	return m.Report()
+}
+
+// locations converts a monitor report's raced addresses to the int
+// locations FullHistory and the workloads use.
+func locations(rep sp.Report) []int {
+	out := []int{}
+	for _, a := range rep.Locations {
+		out = append(out, int(a))
 	}
-	for b, w := range want {
-		if b.String() != w {
-			t.Fatalf("%v string = %q", b, b.String())
-		}
-	}
+	return out
 }
 
 func TestAccessKindStrings(t *testing.T) {
@@ -39,11 +48,11 @@ func TestObviousRace(t *testing.T) {
 	b.Steps = []spt.Step{spt.W(0)}
 	tr := spt.MustTree(spt.NewP(a, b))
 	for _, backend := range allBackends {
-		rep := DetectSerial(tr, backend)
+		rep := detect(tr, backend)
 		if len(rep.Races) != 1 {
 			t.Fatalf("%v: races = %d, want 1", backend, len(rep.Races))
 		}
-		if rep.Races[0].Kind != WriteWrite || rep.Races[0].Loc != 0 {
+		if rep.Races[0].Kind != WriteWrite || rep.Races[0].Addr != 0 {
 			t.Fatalf("%v: wrong race %v", backend, rep.Races[0])
 		}
 	}
@@ -57,7 +66,7 @@ func TestNoRaceWhenSerial(t *testing.T) {
 	b.Steps = []spt.Step{spt.W(0), spt.R(0)}
 	tr := spt.MustTree(spt.NewS(a, b))
 	for _, backend := range allBackends {
-		if rep := DetectSerial(tr, backend); len(rep.Races) != 0 {
+		if rep := detect(tr, backend); len(rep.Races) != 0 {
 			t.Fatalf("%v: unexpected races %v", backend, rep.Races)
 		}
 	}
@@ -70,7 +79,7 @@ func TestReadSharingIsSafe(t *testing.T) {
 	b.Steps = []spt.Step{spt.R(0)}
 	tr := spt.MustTree(spt.NewP(a, b))
 	for _, backend := range allBackends {
-		if rep := DetectSerial(tr, backend); len(rep.Races) != 0 {
+		if rep := detect(tr, backend); len(rep.Races) != 0 {
 			t.Fatalf("%v: read sharing flagged: %v", backend, rep.Races)
 		}
 	}
@@ -83,7 +92,7 @@ func TestWriteReadAndReadWriteKinds(t *testing.T) {
 	r := spt.NewLeaf("r", 1)
 	r.Steps = []spt.Step{spt.R(0)}
 	tr := spt.MustTree(spt.NewP(w, r))
-	rep := DetectSerial(tr, SPOrder)
+	rep := detect(tr, "sp-order")
 	if len(rep.Races) != 1 || rep.Races[0].Kind != WriteRead {
 		t.Fatalf("want one write-read race, got %v", rep.Races)
 	}
@@ -93,7 +102,7 @@ func TestWriteReadAndReadWriteKinds(t *testing.T) {
 	w2 := spt.NewLeaf("w2", 1)
 	w2.Steps = []spt.Step{spt.W(0)}
 	tr2 := spt.MustTree(spt.NewP(r2, w2))
-	rep2 := DetectSerial(tr2, SPOrder)
+	rep2 := detect(tr2, "sp-order")
 	if len(rep2.Races) != 1 || rep2.Races[0].Kind != ReadWrite {
 		t.Fatalf("want one read-write race, got %v", rep2.Races)
 	}
@@ -104,13 +113,13 @@ func TestWriteReadAndReadWriteKinds(t *testing.T) {
 func TestVectorAccumulate(t *testing.T) {
 	good := workload.VectorAccumulate(8, false)
 	for _, backend := range allBackends {
-		if rep := DetectSerial(good, backend); len(rep.Races) != 0 {
+		if rep := detect(good, backend); len(rep.Races) != 0 {
 			t.Fatalf("%v: correct program flagged: %v", backend, rep.Races)
 		}
 	}
 	bad := workload.VectorAccumulate(8, true)
 	for _, backend := range allBackends {
-		rep := DetectSerial(bad, backend)
+		rep := detect(bad, backend)
 		if len(rep.Locations) != 8 {
 			t.Fatalf("%v: raced locations = %v, want all 8 outputs", backend, rep.Locations)
 		}
@@ -132,8 +141,8 @@ func TestDetectorsMatchFullHistory(t *testing.T) {
 		tr := spt.Generate(cfg, rng)
 		truth := FullHistory(tr)
 		for _, backend := range allBackends {
-			rep := DetectSerial(tr, backend)
-			if !reflect.DeepEqual(rep.Locations, truth.Locations) {
+			rep := detect(tr, backend)
+			if !reflect.DeepEqual(locations(rep), truth.Locations) {
 				t.Fatalf("trial %d %v: flagged %v, truth %v",
 					trial, backend, rep.Locations, truth.Locations)
 			}
@@ -152,7 +161,7 @@ func TestQuickDetectorLocationSets(t *testing.T) {
 		tr := spt.Generate(cfg, rng)
 		truth := FullHistory(tr).Locations
 		for _, backend := range allBackends {
-			if !reflect.DeepEqual(DetectSerial(tr, backend).Locations, truth) {
+			if !reflect.DeepEqual(locations(detect(tr, backend)), truth) {
 				return false
 			}
 		}
@@ -168,8 +177,8 @@ func TestPlantedRacesFoundExactly(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		p := workload.PlantRaces(workload.DefaultPlantConfig(), rng)
 		for _, backend := range allBackends {
-			rep := DetectSerial(p.Tree, backend)
-			if !reflect.DeepEqual(rep.Locations, p.RacyLocs) {
+			rep := detect(p.Tree, backend)
+			if !reflect.DeepEqual(locations(rep), p.RacyLocs) {
 				t.Fatalf("trial %d %v: flagged %v, planted %v",
 					trial, backend, rep.Locations, p.RacyLocs)
 			}
@@ -217,12 +226,12 @@ func TestParallelDetectorUnderSteals(t *testing.T) {
 func TestLockAwareSuppressesProtectedRaces(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr, protected, unprotected := workload.LockProtected(6, rng)
-	rep := DetectLockAware(tr)
-	if len(rep.Locations) != 1 || rep.Locations[0] != unprotected {
+	rep := detect(tr, "sp-order", sp.WithLockAwareness(true))
+	if len(rep.Locations) != 1 || rep.Locations[0] != uint64(unprotected) {
 		t.Fatalf("lock-aware flagged %v, want only x%d", rep.Locations, unprotected)
 	}
 	// The pure determinacy detector flags both locations.
-	det := DetectSerial(tr, SPOrder)
+	det := detect(tr, "sp-order")
 	if len(det.Locations) != 2 {
 		t.Fatalf("determinacy detector flagged %v, want both locations", det.Locations)
 	}
@@ -236,7 +245,7 @@ func TestLockAwarePartialOverlap(t *testing.T) {
 	b := spt.NewLeaf("b", 1)
 	b.Steps = []spt.Step{spt.Acq(2), spt.W(0), spt.Rel(2)}
 	tr := spt.MustTree(spt.NewP(a, b))
-	rep := DetectLockAware(tr)
+	rep := detect(tr, "sp-order", sp.WithLockAwareness(true))
 	if len(rep.Races) != 1 {
 		t.Fatalf("disjoint locksets must race: %v", rep.Races)
 	}
@@ -246,7 +255,7 @@ func TestLockAwarePartialOverlap(t *testing.T) {
 	d := spt.NewLeaf("d", 1)
 	d.Steps = []spt.Step{spt.Acq(1), spt.W(0), spt.Rel(1)}
 	tr2 := spt.MustTree(spt.NewP(c, d))
-	if rep2 := DetectLockAware(tr2); len(rep2.Races) != 0 {
+	if rep2 := detect(tr2, "sp-order", sp.WithLockAwareness(true)); len(rep2.Races) != 0 {
 		t.Fatalf("common lock must suppress the race: %v", rep2.Races)
 	}
 }
@@ -260,28 +269,13 @@ func TestLockAwareReleaseUnheldPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	DetectLockAware(tr)
-}
-
-func TestLockSetOps(t *testing.T) {
-	a := LockSet{1, 3, 5}
-	b := LockSet{2, 4}
-	c := LockSet{3}
-	if !a.Disjoint(b) || a.Disjoint(c) {
-		t.Fatal("Disjoint wrong")
-	}
-	if !a.Equal(LockSet{1, 3, 5}) || a.Equal(b) {
-		t.Fatal("Equal wrong")
-	}
-	if a.String() != "{m1,m3,m5}" || LockSet(nil).String() != "{}" {
-		t.Fatalf("String wrong: %q", a.String())
-	}
+	detect(tr, "sp-order", sp.WithLockAwareness(true))
 }
 
 func TestReportCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tr := workload.FibWithAccesses(8, 4, 16, true, rng)
-	rep := DetectSerial(tr, SPOrder)
+	rep := detect(tr, "sp-order")
 	if rep.Accesses == 0 {
 		t.Fatal("accesses not counted")
 	}
@@ -298,7 +292,7 @@ func TestFibPrivateAccessesRaceFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tr := workload.FibWithAccesses(9, 3, 0, false, rng)
 	for _, backend := range allBackends {
-		if rep := DetectSerial(tr, backend); len(rep.Races) != 0 {
+		if rep := detect(tr, backend); len(rep.Races) != 0 {
 			t.Fatalf("%v: private accesses raced: %v", backend, rep.Races)
 		}
 	}
@@ -312,19 +306,24 @@ func TestRaceString(t *testing.T) {
 	}
 }
 
+// naive is Section 3's naive locked baseline: one sp-order structure
+// shared by every worker, each event applied under the monitor's one
+// mutex.
+func naive(tr *spt.Tree, workers int) sp.Report {
+	m := sp.MustMonitor(sp.WithBackend("sp-order"))
+	sp.ReplayParallel(tr, m, workers)
+	return m.Report()
+}
+
 func TestNaiveParallelDetectorMatchesPlanted(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 5; trial++ {
 		p := workload.PlantRaces(workload.DefaultPlantConfig(), rng)
-		canon, _ := spt.Canonicalize(p.Tree)
 		for _, workers := range []int{1, 4} {
-			rep := DetectParallelNaive(canon, workers, int64(trial), true)
-			if !reflect.DeepEqual(rep.Locations, p.RacyLocs) {
+			rep := naive(p.Tree, workers)
+			if !reflect.DeepEqual(locations(rep), p.RacyLocs) {
 				t.Fatalf("trial %d P=%d: flagged %v, planted %v",
 					trial, workers, rep.Locations, p.RacyLocs)
-			}
-			if rep.LockAcquisitions == 0 {
-				t.Fatal("naive detector must acquire the global lock")
 			}
 		}
 	}
@@ -336,9 +335,9 @@ func TestNaiveAndHybridAgree(t *testing.T) {
 	cfg.Threads = 128
 	p := workload.PlantRaces(cfg, rng)
 	canon, _ := spt.Canonicalize(p.Tree)
-	naive := DetectParallelNaive(canon, 4, 1, true)
+	n := locations(naive(canon, 4))
 	hybrid := DetectParallel(canon, 4, 1, true)
-	if !reflect.DeepEqual(naive.Locations, hybrid.Locations) {
-		t.Fatalf("naive %v != hybrid %v", naive.Locations, hybrid.Locations)
+	if !reflect.DeepEqual(n, hybrid.Locations) {
+		t.Fatalf("naive %v != hybrid %v", n, hybrid.Locations)
 	}
 }

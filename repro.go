@@ -1,85 +1,36 @@
-// Package repro is a complete Go implementation of the algorithms in
-// Bender, Fineman, Gilbert, and Leiserson, "On-the-Fly Maintenance of
+// Package repro is a Go implementation of the algorithms in Bender,
+// Fineman, Gilbert, and Leiserson, "On-the-Fly Maintenance of
 // Series-Parallel Relationships in Fork-Join Multithreaded Programs"
-// (SPAA 2004), together with every substrate the paper depends on.
+// (SPAA 2004).
 //
-// It provides:
+// The SP-maintenance backends themselves (SP-order, SP-bags, the
+// English-Hebrew and offset-span labelers, SP-hybrid, DePa) and the
+// race detectors built on them live in the event-driven package
+// repro/sp: create an sp.Monitor with a registry backend and either
+// emit fork/join/access events live or replay a parse tree with
+// sp.Replay. This package holds what sp has no counterpart for:
 //
 //   - SP parse trees and computation dags for fork-join programs
-//     (NewLeaf/NewS/NewP, Seq/Par, Proc, Generate, Canonicalize);
-//   - the serial SP-order algorithm (Section 2): O(1) amortized
-//     maintenance and O(1) queries via order-maintenance lists;
-//   - the serial SP-bags algorithm of Feng and Leiserson (the paper's
-//     baseline and SP-hybrid's local tier);
-//   - the English-Hebrew and offset-span static labeling baselines
-//     (Figure 3);
-//   - the parallel SP-hybrid algorithm (Sections 3–7) running on a
-//     Cilk-style work-stealing scheduler;
-//   - on-the-fly determinacy-race detectors over all of the above, plus a
-//     lock-aware detector in the style of ALL-SETS.
+//     (NewLeaf/NewS/NewP, Seq/Par, Proc, Generate, Canonicalize) — the
+//     input sp.Replay takes, which code outside this module can build
+//     only through these re-exports;
+//   - the ground-truth LCA oracle and the paper's workloads;
+//   - the parallel SP-hybrid algorithm (Sections 3–7) coupled to a
+//     Cilk-style work-stealing scheduler, and DetectParallel, the race
+//     detector that runs on it and reports the scheduler statistics
+//     (steals, splits, query retries) of Theorem 10 and Section 7.
 //
-// The subpackages under internal/ contain the implementations; this
-// package re-exports the public surface so applications only import
-// "repro". See the examples/ directory for runnable programs and
-// bench_test.go for the reproduction of every table and figure in the
-// paper's evaluation.
-//
-// Deprecated: this facade is replay-oriented — every entry point
-// consumes a pre-built SP parse tree. New code should use the
-// event-driven product API in repro/sp, which monitors fork/join/access
-// events on the fly (no parse tree required), selects SP-maintenance
-// backends from a registry by name, and subsumes the detectors here
-// (DetectSerial and DetectLockAware are now thin adapters over
-// sp.Monitor plus sp.Replay). The tree model, generators, serial
-// engines, and the scheduler-coupled SP-hybrid remain supported for
-// replaying and benchmarking the paper's experiments; the key sp types
-// are re-exported below to ease migration.
+// See the examples/ directory for runnable programs and bench_test.go
+// and cmd/spbench for the reproduction of the paper's tables.
 package repro
 
 import (
 	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/labels"
 	"repro/internal/race"
 	"repro/internal/sphybrid"
 	"repro/internal/spt"
 	"repro/internal/workload"
-	"repro/sp"
-)
-
-// Event-driven product API (repro/sp). These re-exports are provided for
-// migration; new code should import "repro/sp" directly.
-type (
-	// Monitor maintains SP relationships over a live event stream.
-	Monitor = sp.Monitor
-	// ThreadID identifies one thread (maximal serial block).
-	ThreadID = sp.ThreadID
-	// Maintainer is the pluggable SP-maintenance backend interface.
-	Maintainer = sp.Maintainer
-	// BackendInfo describes a registered backend.
-	BackendInfo = sp.BackendInfo
-	// MonitorOption configures a Monitor.
-	MonitorOption = sp.Option
-	// MonitorReport is the outcome of a monitoring run.
-	MonitorReport = sp.Report
-)
-
-var (
-	// NewMonitor creates an event-driven SP monitor.
-	NewMonitor = sp.NewMonitor
-	// WithBackend, WithWorkers, WithRaceDetection, and WithLockAwareness
-	// configure a Monitor.
-	WithBackend       = sp.WithBackend
-	WithWorkers       = sp.WithWorkers
-	WithRaceDetection = sp.WithRaceDetection
-	WithLockAwareness = sp.WithLockAwareness
-	// RegisteredBackends lists the SP-maintenance backends by name.
-	RegisteredBackends = sp.Backends
-	// Replay drives a Monitor through a parse tree's event stream.
-	Replay = sp.Replay
-	// ReplayParallel replays with real goroutine concurrency.
-	ReplayParallel = sp.ReplayParallel
 )
 
 // Parse-tree model (internal/spt).
@@ -168,52 +119,6 @@ var (
 	Rel = spt.Rel
 )
 
-// Serial SP maintenance (internal/core).
-type (
-	// SPOrder is the serial SP-order algorithm (Figure 5).
-	SPOrder = core.SPOrder
-	// SPBags is the serial SP-bags algorithm.
-	SPBags = core.SPBags
-	// LockedSPOrder is the naive global-lock parallel SP-order
-	// (Section 3's strawman, kept as an ablation baseline).
-	LockedSPOrder = core.LockedSPOrder
-	// SPOrderImplicit is SP-order with the English order maintained
-	// implicitly by an execution counter (footnote 2 of the paper).
-	SPOrderImplicit = core.SPOrderImplicit
-	// Querier answers full SP queries (SP-order, labelers).
-	Querier = core.Querier
-	// CurrentQuerier answers queries against the current thread.
-	CurrentQuerier = core.CurrentQuerier
-)
-
-var (
-	// NewSPOrder prepares SP-order for a tree.
-	NewSPOrder = core.NewSPOrder
-	// NewSPBags prepares SP-bags for a canonical tree.
-	NewSPBags = core.NewSPBags
-	// NewLockedSPOrder prepares the naive locked parallel SP-order.
-	NewLockedSPOrder = core.NewLockedSPOrder
-	// NewSPOrderImplicit prepares the implicit-English variant.
-	NewSPOrderImplicit = core.NewSPOrderImplicit
-	// SerialWalk drives a left-to-right unfolding with callbacks.
-	SerialWalk = core.SerialWalk
-)
-
-// Static labeling baselines (internal/labels).
-type (
-	// EnglishHebrew holds static Nudler–Rudolph labels.
-	EnglishHebrew = labels.EnglishHebrew
-	// OffsetSpan holds static Mellor-Crummey labels.
-	OffsetSpan = labels.OffsetSpan
-)
-
-var (
-	// LabelEnglishHebrew labels a tree with the English-Hebrew scheme.
-	LabelEnglishHebrew = labels.LabelEnglishHebrew
-	// LabelOffsetSpan labels a tree with the offset-span scheme.
-	LabelOffsetSpan = labels.LabelOffsetSpan
-)
-
 // Parallel SP maintenance (internal/sphybrid).
 type (
 	// SPHybrid is the parallel two-tier SP-maintenance algorithm.
@@ -237,40 +142,19 @@ var NewSPHybridWithOptions = sphybrid.NewWithOptions
 // HybridOptions tunes an SP-hybrid run.
 type HybridOptions = sphybrid.Options
 
-// Race detection (internal/race).
+// Parallel race detection (internal/race).
 type (
 	// RaceReport is the outcome of a detection run.
 	RaceReport = race.Report
 	// DetectedRace is one reported determinacy race.
 	DetectedRace = race.Race
-	// Backend selects the SP-maintenance algorithm for serial detection.
-	Backend = race.Backend
 	// ParallelRaceReport adds SP-hybrid statistics to a report.
 	ParallelRaceReport = race.ParallelReport
-	// LockRaceReport is a lock-aware (ALL-SETS) detection outcome.
-	LockRaceReport = race.LockReport
-	// LockSet is a canonical set of held mutexes.
-	LockSet = race.LockSet
 )
 
-// Detection backends (the four rows of Figure 3).
-const (
-	BackendSPOrder       = race.SPOrder
-	BackendSPBags        = race.SPBags
-	BackendEnglishHebrew = race.EnglishHebrew
-	BackendOffsetSpan    = race.OffsetSpan
-)
-
-var (
-	// DetectSerial runs the Nondeterminator protocol serially.
-	DetectSerial = race.DetectSerial
-	// DetectParallel runs it under SP-hybrid on several workers.
-	DetectParallel = race.DetectParallel
-	// DetectLockAware runs the ALL-SETS-style lock-aware detector.
-	DetectLockAware = race.DetectLockAware
-	// FullHistoryCheck is the quadratic ground-truth checker.
-	FullHistoryCheck = race.FullHistory
-)
+// DetectParallel runs the Nondeterminator protocol under SP-hybrid on
+// several work-stealing workers.
+var DetectParallel = race.DetectParallel
 
 // Workloads (internal/workload).
 type (

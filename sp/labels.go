@@ -1,17 +1,19 @@
 package sp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
-	"repro/internal/labels"
+	"repro/sp/metrics"
 )
 
 // This file adapts the two static labeling baselines of Figure 3 — the
 // English-Hebrew scheme of Nudler–Rudolph and the offset-span scheme of
 // Mellor-Crummey — to the event API. Both schemes generate a thread's
 // label from its creator's label at the structural event that creates
-// it, so the tree-walk context stack of internal/labels collapses to
-// per-thread labels plus two local rules:
+// it, so a tree walk's context stack collapses to per-thread labels plus
+// two local rules:
 //
 //   - Fork(u) → (l, r): advance u's label past its completed block (the
 //     walk's post-leaf bump), then extend it with the two branch
@@ -26,16 +28,32 @@ import (
 // labeling pass — these backends require the serial depth-first event
 // order. Labels never change once generated; their weakness, and the
 // reason SP-order beats them, is that label length (and thus query cost)
-// grows with fork nesting.
+// grows with fork nesting. Instrumented monitors export that growth as
+// the label-words high-water gauge, Figure 3's "space per node" column.
+
+// labelWordsHelp describes sp_label_words_highwater.
+const labelWordsHelp = "longest thread label created, in 4-byte words (Figure 3 space per node)"
 
 // englishHebrew is the event-driven Nudler–Rudolph backend.
 type englishHebrew struct {
 	eng     []int64
 	heb     [][]int32
 	counter int64
+	mxWords *metrics.Gauge // nil unless instrumented
 }
 
 func newEnglishHebrew() Maintainer { return &englishHebrew{} }
+
+func (e *englishHebrew) instrument(reg *metrics.Registry) {
+	e.mxWords = reg.Gauge("sp_label_words_highwater", labelWordsHelp)
+}
+
+// setHeb stores t's Hebrew label and records its size: the Hebrew
+// vector plus the int64 English index (two words).
+func (e *englishHebrew) setHeb(t ThreadID, v []int32) {
+	e.heb[t] = v
+	e.mxWords.SetMax(float64(len(v) + 2))
+}
 
 func (e *englishHebrew) grow(t ThreadID) {
 	for int(t) >= len(e.eng) {
@@ -62,7 +80,7 @@ func extendHeb(v []int32, tag int32) []int32 {
 
 func (e *englishHebrew) Start(main ThreadID) {
 	e.grow(main)
-	e.heb[main] = []int32{0}
+	e.setHeb(main, []int32{0})
 }
 
 func (e *englishHebrew) Begin(t ThreadID) {
@@ -76,8 +94,8 @@ func (e *englishHebrew) Fork(parent, left, right ThreadID) {
 	e.grow(right)
 	base := bumpHeb(e.heb[parent])
 	// Left (spawned) branch is Hebrew-later: tag 1; right earlier: tag 0.
-	e.heb[left] = extendHeb(base, 1)
-	e.heb[right] = extendHeb(base, 0)
+	e.setHeb(left, extendHeb(base, 1))
+	e.setHeb(right, extendHeb(base, 0))
 }
 
 func (e *englishHebrew) Join(left, right, cont ThreadID) {
@@ -85,7 +103,7 @@ func (e *englishHebrew) Join(left, right, cont ThreadID) {
 	b := e.heb[right]
 	// Strip the branch components to recover the fork's context, then
 	// advance past the join.
-	e.heb[cont] = bumpHeb(b[:len(b)-2])
+	e.setHeb(cont, bumpHeb(b[:len(b)-2]))
 }
 
 func (e *englishHebrew) indices(a, b ThreadID) (ea, eb int64) {
@@ -98,7 +116,7 @@ func (e *englishHebrew) indices(a, b ThreadID) (ea, eb int64) {
 
 func (e *englishHebrew) Precedes(a, b ThreadID) bool {
 	ea, eb := e.indices(a, b)
-	return ea < eb && labels.CompareHebrew(e.heb[a], e.heb[b]) < 0
+	return ea < eb && slices.Compare(e.heb[a], e.heb[b]) < 0
 }
 
 func (e *englishHebrew) Parallel(a, b ThreadID) bool {
@@ -106,15 +124,55 @@ func (e *englishHebrew) Parallel(a, b ThreadID) bool {
 		return false
 	}
 	ea, eb := e.indices(a, b)
-	return (ea < eb) != (labels.CompareHebrew(e.heb[a], e.heb[b]) < 0)
+	return (ea < eb) != (slices.Compare(e.heb[a], e.heb[b]) < 0)
+}
+
+// osPair is one (offset, span) component of an offset-span label.
+type osPair struct {
+	Offset int64
+	Span   int64
+}
+
+// relateOS compares two offset-span labels: -1 (a precedes b), +1 (a
+// follows b), 0 (parallel). At the first differing pair, offsets
+// congruent modulo the span mean serial successors in one fork context;
+// incongruent offsets or different spans mean sibling branches. When
+// one label is a prefix of the other, the shorter executed first.
+func relateOS(a, b []osPair) int {
+	for i := range min(len(a), len(b)) {
+		pa, pb := a[i], b[i]
+		switch {
+		case pa == pb:
+			continue
+		case pa.Span != pb.Span, pa.Offset%pa.Span != pb.Offset%pa.Span:
+			return 0
+		case pa.Offset < pb.Offset:
+			return -1
+		default:
+			return +1
+		}
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
 // offsetSpan is the event-driven Mellor-Crummey backend.
 type offsetSpan struct {
-	lab [][]labels.OSPair
+	lab     [][]osPair
+	mxWords *metrics.Gauge // nil unless instrumented
 }
 
 func newOffsetSpan() Maintainer { return &offsetSpan{} }
+
+func (o *offsetSpan) instrument(reg *metrics.Registry) {
+	o.mxWords = reg.Gauge("sp_label_words_highwater", labelWordsHelp)
+}
+
+// setLab stores t's label and records its size: each pair is two int64s
+// (four words).
+func (o *offsetSpan) setLab(t ThreadID, v []osPair) {
+	o.lab[t] = v
+	o.mxWords.SetMax(float64(4 * len(v)))
+}
 
 func (o *offsetSpan) grow(t ThreadID) {
 	for int(t) >= len(o.lab) {
@@ -124,24 +182,24 @@ func (o *offsetSpan) grow(t ThreadID) {
 
 // advanceOS returns a copy of v with the last pair's offset advanced by
 // its span (the serial-successor rule).
-func advanceOS(v []labels.OSPair) []labels.OSPair {
-	out := make([]labels.OSPair, len(v))
+func advanceOS(v []osPair) []osPair {
+	out := make([]osPair, len(v))
 	copy(out, v)
 	out[len(out)-1].Offset += out[len(out)-1].Span
 	return out
 }
 
 // extendOS returns a copy of v extended with the pair [offset, 2].
-func extendOS(v []labels.OSPair, offset int64) []labels.OSPair {
-	out := make([]labels.OSPair, len(v)+1)
+func extendOS(v []osPair, offset int64) []osPair {
+	out := make([]osPair, len(v)+1)
 	copy(out, v)
-	out[len(v)] = labels.OSPair{Offset: offset, Span: 2}
+	out[len(v)] = osPair{Offset: offset, Span: 2}
 	return out
 }
 
 func (o *offsetSpan) Start(main ThreadID) {
 	o.grow(main)
-	o.lab[main] = []labels.OSPair{{Offset: 0, Span: 1}}
+	o.setLab(main, []osPair{{Offset: 0, Span: 1}})
 }
 
 func (o *offsetSpan) Begin(ThreadID) {}
@@ -149,18 +207,18 @@ func (o *offsetSpan) Begin(ThreadID) {}
 func (o *offsetSpan) Fork(parent, left, right ThreadID) {
 	o.grow(right)
 	base := advanceOS(o.lab[parent])
-	o.lab[left] = extendOS(base, 0)
-	o.lab[right] = extendOS(base, 1)
+	o.setLab(left, extendOS(base, 0))
+	o.setLab(right, extendOS(base, 1))
 }
 
 func (o *offsetSpan) Join(left, right, cont ThreadID) {
 	o.grow(cont)
 	b := o.lab[right]
 	// Pop the branch pair and advance past the join.
-	o.lab[cont] = advanceOS(b[:len(b)-1])
+	o.setLab(cont, advanceOS(b[:len(b)-1]))
 }
 
-func (o *offsetSpan) labelsOf(a, b ThreadID) (la, lb []labels.OSPair) {
+func (o *offsetSpan) labelsOf(a, b ThreadID) (la, lb []osPair) {
 	la, lb = o.lab[a], o.lab[b]
 	if la == nil || lb == nil {
 		panic(fmt.Sprintf("sp: offset-span query on unknown thread (t%d, t%d)", a, b))
@@ -170,7 +228,7 @@ func (o *offsetSpan) labelsOf(a, b ThreadID) (la, lb []labels.OSPair) {
 
 func (o *offsetSpan) Precedes(a, b ThreadID) bool {
 	la, lb := o.labelsOf(a, b)
-	return labels.RelateOffsetSpan(la, lb) < 0
+	return relateOS(la, lb) < 0
 }
 
 func (o *offsetSpan) Parallel(a, b ThreadID) bool {
@@ -178,7 +236,7 @@ func (o *offsetSpan) Parallel(a, b ThreadID) bool {
 		return false
 	}
 	la, lb := o.labelsOf(a, b)
-	return labels.RelateOffsetSpan(la, lb) == 0
+	return relateOS(la, lb) == 0
 }
 
 // ehRel is the cached per-thread query handle: the current thread's
@@ -198,7 +256,7 @@ func (r ehRel) PrecedesCurrent(prev ThreadID) bool {
 		return false
 	}
 	ep, ec := r.e.indices(prev, r.cur)
-	return ep < ec && labels.CompareHebrew(r.e.heb[prev], r.heb) < 0
+	return ep < ec && slices.Compare(r.e.heb[prev], r.heb) < 0
 }
 
 func (r ehRel) ParallelCurrent(prev ThreadID) bool {
@@ -206,7 +264,7 @@ func (r ehRel) ParallelCurrent(prev ThreadID) bool {
 		return false
 	}
 	ep, ec := r.e.indices(prev, r.cur)
-	return (ep < ec) != (labels.CompareHebrew(r.e.heb[prev], r.heb) < 0)
+	return (ep < ec) != (slices.Compare(r.e.heb[prev], r.heb) < 0)
 }
 
 func (r ehRel) EnglishBeforeCurrent(prev ThreadID) bool {
@@ -218,7 +276,7 @@ func (r ehRel) EnglishBeforeCurrent(prev ThreadID) bool {
 }
 
 func (r ehRel) HebrewBeforeCurrent(prev ThreadID) bool {
-	return prev != r.cur && labels.CompareHebrew(r.e.heb[prev], r.heb) < 0
+	return prev != r.cur && slices.Compare(r.e.heb[prev], r.heb) < 0
 }
 
 // ThreadRelative implements HandleMaintainer (consumed under the
@@ -234,15 +292,15 @@ func (e *englishHebrew) ThreadRelative(t ThreadID) CurrentRelative {
 type osRel struct {
 	o   *offsetSpan
 	cur ThreadID
-	lab []labels.OSPair
+	lab []osPair
 }
 
 func (r osRel) PrecedesCurrent(prev ThreadID) bool {
-	return prev != r.cur && labels.RelateOffsetSpan(r.o.lab[prev], r.lab) < 0
+	return prev != r.cur && relateOS(r.o.lab[prev], r.lab) < 0
 }
 
 func (r osRel) ParallelCurrent(prev ThreadID) bool {
-	return prev != r.cur && labels.RelateOffsetSpan(r.o.lab[prev], r.lab) == 0
+	return prev != r.cur && relateOS(r.o.lab[prev], r.lab) == 0
 }
 
 func (r osRel) EnglishBeforeCurrent(prev ThreadID) bool { return prev != r.cur }

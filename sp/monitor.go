@@ -248,6 +248,10 @@ type Monitor struct {
 
 	raceShards []raceShard // sharded race log; emit touches one shard
 	requested  atomic.Bool // Races() has been called; emits also stream
+	// streamMu serializes Races()' catch-up scan with Report's shard
+	// close, so Report never closes the stream while a scan still has
+	// shards to deliver.
+	streamMu sync.Mutex
 
 	raceMu       sync.Mutex
 	backlog      []Race // races awaiting stream delivery while the channel is full
@@ -1165,11 +1169,22 @@ func (m *Monitor) emit(r Race) {
 		sh.mu.Unlock()
 		return
 	}
-	sh.streamed = len(sh.races)
-	// Deliver while still holding the shard lock so the stream preserves
-	// the shard's detection order (lock order: race shard, then raceMu).
-	m.deliver(r)
+	m.catchUp(sh)
 	sh.mu.Unlock()
+}
+
+// catchUp streams every race of sh not yet claimed for the stream and
+// advances its watermark; the caller holds sh.mu, so the stream keeps
+// the shard's detection order (lock order: race shard, then raceMu).
+// An emit catches its shard up rather than deliver one race: Races()
+// sets the request flag before it scans the shards, so an emit reaching
+// an unscanned shard first must not skip the races recorded there while
+// nobody listened.
+func (m *Monitor) catchUp(sh *raceShard) {
+	for _, r := range sh.races[sh.streamed:] {
+		m.deliver(r)
+	}
+	sh.streamed = len(sh.races)
 }
 
 // deliver streams one race to the Races() channel: a direct non-blocking
@@ -1252,14 +1267,13 @@ func (m *Monitor) TraceErr() error {
 // the stream buffer holds needs its channel drained for the close to
 // happen.
 func (m *Monitor) Races() <-chan Race {
+	m.streamMu.Lock()
+	defer m.streamMu.Unlock()
 	m.requested.Store(true)
 	for i := range m.raceShards {
 		sh := &m.raceShards[i]
 		sh.mu.Lock()
-		for _, r := range sh.races[sh.streamed:] {
-			m.deliver(r)
-		}
-		sh.streamed = len(sh.races)
+		m.catchUp(sh)
 		sh.mu.Unlock()
 	}
 	m.raceMu.Lock()
@@ -1319,6 +1333,8 @@ func (m *Monitor) Report() Report {
 	// plus the deliver backstop — one layer, so the count can never
 	// disagree with the races actually reported.
 	var races []Race
+	m.streamMu.Lock()
+	defer m.streamMu.Unlock()
 	dropped := m.dropped.Load()
 	for i := range m.raceShards {
 		sh := &m.raceShards[i]

@@ -9,8 +9,9 @@ import (
 
 // WithMetrics attaches a metrics registry to the Monitor: every layer —
 // the monitor's event dispatch, the shadow-memory shards, the sharded
-// race log, and the backend (sp-hybrid's batched OM tier, depa's label
-// walks) — records into shared registry instruments. Instruments are
+// race log, and the backend (OM relabels of the sp-order family and
+// sp-hybrid, sp-hybrid's batched OM tier, the labelers' longest label,
+// depa's label walks) — records into shared registry instruments. Instruments are
 // get-or-create by name, so many monitors may share one registry (the
 // sptraced fleet does): their counts aggregate, and the counters
 // survive any individual monitor's retirement. Without this option the
@@ -139,8 +140,10 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 
 // instrumentable is the optional backend capability of recording into
 // a metrics registry; the Monitor invokes it at construction when
-// WithMetrics is set (sp-hybrid exposes its OM amortization, depa its
-// label-depth and walk-length distributions).
+// WithMetrics is set (the OM-backed backends expose their relabels,
+// sp-hybrid also its drain amortization, english-hebrew and
+// offset-span their longest label, depa its label-depth and
+// walk-length distributions).
 type instrumentable interface {
 	instrument(reg *metrics.Registry)
 }

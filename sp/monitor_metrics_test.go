@@ -8,11 +8,13 @@ package sp
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/spt"
 	"repro/sp/metrics"
 )
 
@@ -203,4 +205,64 @@ func BenchmarkConcurrentAccess(b *testing.B) {
 
 func BenchmarkConcurrentAccessMetrics(b *testing.B) {
 	benchConcurrentAccess(b, WithMetrics(metrics.NewRegistry()))
+}
+
+// maxLabelWords replays tr through a fresh instrumented monitor on
+// backend and returns its label-words high-water gauge.
+func maxLabelWords(t *testing.T, tr *spt.Tree, backend string) float64 {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	Replay(tr, MustMonitor(WithBackend(backend), WithRaceDetection(false), WithMetrics(reg)))
+	w, ok := reg.Snapshot().Value("sp_label_words_highwater")
+	if !ok {
+		t.Fatalf("%s: no sp_label_words_highwater gauge", backend)
+	}
+	return w
+}
+
+// TestLabelWordsGauge pins Figure 3's space column for the two static
+// labelers: labels grow with fork nesting (a wide fan of n threads
+// nests n-1 deep), not with the number of threads — a serial chain
+// keeps them flat.
+func TestLabelWordsGauge(t *testing.T) {
+	for _, backend := range []string{"english-hebrew", "offset-span"} {
+		prev := 0.0
+		for _, n := range []int{4, 16, 64} {
+			w := maxLabelWords(t, spt.WideFan(n, 1), backend)
+			if w <= prev {
+				t.Fatalf("%s: label words must grow with nesting: %v then %v at fan %d", backend, prev, w, n)
+			}
+			prev = w
+		}
+		if short, long := maxLabelWords(t, spt.DeepChain(4, 1), backend),
+			maxLabelWords(t, spt.DeepChain(4096, 1), backend); short != long {
+			t.Fatalf("%s: labels must not grow on serial chains: %v vs %v", backend, short, long)
+		}
+	}
+}
+
+// TestOffsetSpanDeepVsWide pins the Θ(d) claim: offset-span labels on a
+// wide fan (d = n-1) far exceed those on a balanced tree of the same
+// size (d = log n).
+func TestOffsetSpanDeepVsWide(t *testing.T) {
+	fan := maxLabelWords(t, spt.WideFan(64, 1), "offset-span")
+	bal := maxLabelWords(t, spt.BalancedPTree(6, 1), "offset-span") // 64 threads
+	if fan <= 2*bal {
+		t.Fatalf("wide fan labels (%v words) should far exceed balanced (%v words)", fan, bal)
+	}
+}
+
+// TestSPOrderRelabelsPerThread checks Theorem 5's amortization through
+// the registry: replaying a random program on sp-order relabels a
+// non-zero but constant-bounded number of OM items per thread.
+func TestSPOrderRelabelsPerThread(t *testing.T) {
+	for _, n := range []int{1000, 10000} {
+		reg := metrics.NewRegistry()
+		tr := spt.Generate(spt.DefaultGenConfig(n), rand.New(rand.NewSource(int64(n))))
+		Replay(tr, MustMonitor(WithBackend("sp-order"), WithRaceDetection(false), WithMetrics(reg)))
+		perThread := reg.Snapshot().Sum("sp_om_relabels_total") / float64(n)
+		if perThread <= 0 || perThread > 16 {
+			t.Fatalf("n=%d: %.2f relabels/thread, want in (0, 16]", n, perThread)
+		}
+	}
 }

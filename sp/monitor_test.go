@@ -136,6 +136,21 @@ func TestLockAwareMonitor(t *testing.T) {
 	}
 }
 
+func TestLockSetOps(t *testing.T) {
+	a := sp.LockSet{1, 3, 5}
+	b := sp.LockSet{2, 4}
+	c := sp.LockSet{3}
+	if !a.Disjoint(b) || a.Disjoint(c) {
+		t.Fatal("Disjoint wrong")
+	}
+	if !a.Equal(sp.LockSet{1, 3, 5}) || a.Equal(b) {
+		t.Fatal("Equal wrong")
+	}
+	if a.String() != "{m1,m3,m5}" || sp.LockSet(nil).String() != "{}" {
+		t.Fatalf("String wrong: %q", a.String())
+	}
+}
+
 // TestMonitorMisusePanics pins the guard rails: events by ended threads,
 // unbalanced releases, unknown backends, ill-nested joins.
 func TestMonitorMisusePanics(t *testing.T) {

@@ -142,3 +142,37 @@ func TestRaceStreamNoConsumerNoLeak(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after 10 unread overflowing monitors", before, after)
 	}
 }
+
+// TestRaceStreamLateListener is the regression test for races lost when
+// the listener arrives while the run is still emitting or reporting, as
+// sptraced's per-stream consumer goroutine does: Races() raised the
+// request flag before scanning the shards, and an emit or a Report that
+// reached an unscanned shard first skipped the races recorded there
+// while nobody listened. Every race of the report must reach the
+// stream, whatever the interleaving.
+func TestRaceStreamLateListener(t *testing.T) {
+	const racyLocs = 64
+	for run := 0; run < 200; run++ {
+		m := sp.MustMonitor()
+		l, r := m.Fork(m.Main())
+		for a := uint64(0); a < racyLocs; a++ {
+			m.Write(l, a)
+		}
+		got := make(chan int)
+		go func() {
+			n := 0
+			for range m.Races() {
+				n++
+			}
+			got <- n
+		}()
+		for a := uint64(0); a < racyLocs; a++ {
+			m.Write(r, a) // one write-write race per location
+		}
+		m.Join(l, r)
+		rep := m.Report()
+		if n := <-got; n != len(rep.Races) {
+			t.Fatalf("run %d: stream delivered %d races, report holds %d", run, n, len(rep.Races))
+		}
+	}
+}

@@ -108,7 +108,7 @@ func (h *hybrid) instrument(reg *metrics.Registry) {
 	h.mxPendingHW = reg.Gauge("sp_om_pending_highwater", "deepest the pending structural-event queue has grown")
 	for _, l := range []*om.Concurrent{h.eng, h.heb} {
 		l.MQueryRetries = reg.Counter("sp_om_query_retries_total", "lock-free OM queries that had to retry after a concurrent rebalance")
-		l.MRelabels = reg.Counter("sp_om_relabels_total", "OM items relabeled by rebalances")
+		l.MRelabels = omRelabels(reg)
 		l.MRebalances = reg.Counter("sp_om_rebalances_total", "OM label-range rebalances")
 	}
 }

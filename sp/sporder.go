@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/om"
+	"repro/sp/metrics"
 )
 
 // This file adapts the paper's serial SP-order algorithm (Section 2,
@@ -38,6 +39,19 @@ type spOrder struct {
 }
 
 func newSPOrder() Maintainer { return &spOrder{eng: om.NewList(), heb: om.NewList()} }
+
+// instrument mirrors both lists' relabels into sp_om_relabels_total,
+// the series sp-hybrid's concurrent lists also feed (Theorem 5's
+// amortized-relabel measure).
+func (s *spOrder) instrument(reg *metrics.Registry) {
+	s.eng.MRelabels = omRelabels(reg)
+	s.heb.MRelabels = s.eng.MRelabels
+}
+
+// omRelabels returns the shared relabel counter of every OM list.
+func omRelabels(reg *metrics.Registry) *metrics.Counter {
+	return reg.Counter("sp_om_relabels_total", "OM items relabeled by rebalances")
+}
 
 func (s *spOrder) grow(t ThreadID) {
 	for int(t) >= len(s.engIt) {
@@ -117,6 +131,8 @@ type spOrderImplicit struct {
 }
 
 func newSPOrderImplicit() Maintainer { return &spOrderImplicit{heb: om.NewList()} }
+
+func (s *spOrderImplicit) instrument(reg *metrics.Registry) { s.heb.MRelabels = omRelabels(reg) }
 
 func (s *spOrderImplicit) grow(t ThreadID) {
 	for int(t) >= len(s.hebIt) {
